@@ -2,21 +2,26 @@
 //!
 //! Design choice being ablated: how ancestry is proven between two copies
 //! of a note. The original bounded `$Revisions` fingerprint list (32
-//! entries, like Notes) could not prove descent once a replica fell more
-//! than 32 revisions behind, so replication conservatively manufactured a
-//! `$Conflict` document — a false positive. The content-addressed
+//! entries, like Notes, since deleted) could not prove descent once a
+//! replica fell more than 32 revisions behind, so replication
+//! conservatively manufactured a `$Conflict` document — a false
+//! positive. The content-addressed
 //! revision chain (`$RevisionHashes`) is unbounded: every copy carries
 //! its full hash lineage, so descent is provable at *any* edit depth.
 //! This table re-runs the old sweep (and deeper) and verifies the
 //! anomaly is gone: zero spurious conflicts at every depth.
 
-use domino_core::{Note, MAX_REVISIONS};
+use domino_core::Note;
 use domino_replica::{ReplicationOptions, Replicator};
 use domino_types::{NoteClass, Value};
 
 use crate::table::{fmt, Table};
 use crate::workload::make_db;
 use crate::Scale;
+
+/// Depth of the retired `$Revisions` fingerprint list — the old oracle
+/// this sweep straddles.
+const MAX_REVISIONS: usize = 32;
 
 pub fn run(scale: Scale) -> Table {
     let mut table = Table::new(

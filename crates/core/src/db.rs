@@ -634,7 +634,6 @@ impl Database {
                 note.oid = Oid::new(unid, now);
                 note.created = now;
                 note.modified = now;
-                note.push_revision(g.instance_id);
                 for it in note.items_raw_mut() {
                     it.revised = now;
                 }
@@ -659,7 +658,6 @@ impl Database {
                 }
                 note.oid.bump(now);
                 note.modified = now;
-                note.push_revision(g.instance_id);
                 // Field-level revision stamps: only changed items advance.
                 for it in note.items_raw_mut() {
                     let prior = old

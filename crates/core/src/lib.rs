@@ -54,8 +54,8 @@ pub use lock::{ExclusiveGuard, LockMode, LockStats, LockTable, SharedGuard};
 pub use merkle::{bucket_of, MerkleSummary, MERKLE_BUCKETS};
 pub use mvcc::{Snapshot, SnapshotStats};
 pub use note::{
-    revision_fingerprint, same_revision, DeletionStub, Note, ITEM_AUTHORS, ITEM_CONFLICT,
-    ITEM_FORM, ITEM_READERS, ITEM_REF, ITEM_REVISIONS, ITEM_TRUNCATED, MAX_REVISIONS,
+    same_revision, DeletionStub, Note, ITEM_AUTHORS, ITEM_CONFLICT, ITEM_FORM, ITEM_READERS,
+    ITEM_REF, ITEM_TRUNCATED,
 };
 pub use revision::{
     chain_contains, content_hash_of, head_hash as revision_head, latest_common, merged_chain,

@@ -1,6 +1,5 @@
-//! Content-addressed revision history: the unbounded hash chain that
-//! replaces the depth-capped `$Revisions` fingerprints as the ancestry
-//! oracle.
+//! Content-addressed revision history: the unbounded hash chain that is
+//! a note's one revision identity and the replicator's ancestry oracle.
 //!
 //! Every committed save appends one entry to the note's
 //! [`ITEM_REVISION_HASHES`] item: the [`ContentHash`] of the new revision
@@ -10,10 +9,8 @@
 //! linear histories a chain, after a merge the deterministic union of
 //! both parents' sets plus the merge revision itself. Because entries are
 //! never dropped, a replica can prove descent at **any** edit depth: `a`
-//! descends from `b` iff `b`'s head hash appears in `a`'s set. The
-//! bounded `$Revisions` list is still maintained for compatibility
-//! (convergence signatures, older tooling) but no longer decides
-//! ancestry.
+//! descends from `b` iff `b`'s head hash appears in `a`'s set, and two
+//! copies are the same revision iff their heads are equal.
 //!
 //! The hash is a pure function of history: it covers the note's UNID,
 //! sequence stamp, class, canonical item encodings, and parent hashes —
@@ -155,8 +152,8 @@ pub fn stub_head(oid: &Oid) -> ContentHash {
 /// chain head; truncated (summary-only) copies mix in a marker so a
 /// partial copy never digest-matches the full revision (a full pull must
 /// still be able to upgrade it). Notes without a chain (hand-built,
-/// pre-upgrade data) fall back to a digest of the OID plus the last
-/// `$Revisions` fingerprint — also replica-independent.
+/// never saved) fall back to a digest of the OID — also
+/// replica-independent.
 pub fn merkle_head(note: &Note) -> ContentHash {
     let base = match head_hash(note) {
         Some(h) => h,
@@ -166,9 +163,6 @@ pub fn merkle_head(note: &Note) -> ContentHash {
             h.update_u128(note.unid().0);
             h.update_u64(note.oid.seq as u64);
             h.update_u64(note.oid.seq_time.0);
-            if let Some((fp, _)) = note.revision_at(note.oid.seq) {
-                h.update_u64(fp);
-            }
             h.finish()
         }
     };

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use domino_replica::splitmix64;
+use domino_types::{splitmix64, SPLITMIX64_GAMMA};
 
 /// A seeded deterministic RNG shared by every fault decision in a
 /// [`Network`](crate::Network). Clones share state (like `FaultPlan`), so
@@ -42,8 +42,8 @@ impl FaultClock {
     pub fn next_u64(&self) -> u64 {
         let s = self
             .state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
+            .fetch_add(SPLITMIX64_GAMMA, Ordering::Relaxed)
+            .wrapping_add(SPLITMIX64_GAMMA);
         splitmix64(s)
     }
 

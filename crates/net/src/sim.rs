@@ -767,19 +767,15 @@ impl Network {
     // ------------------------------------------------------------------
 
     /// Are all replicas of `db` identical (same docs, same revisions,
-    /// same stubs)?
+    /// same stubs)? Decided by their Merkle roots, which cover every live
+    /// note's head hash and every deletion stub.
     pub fn converged(&self, db: &str) -> Result<bool> {
         let replicas = self.replicas(db);
         let Some(first) = replicas.first() else {
             return Ok(true);
         };
-        let want = signature(first)?;
-        for r in &replicas[1..] {
-            if signature(r)? != want {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let want = first.merkle_root();
+        Ok(replicas[1..].iter().all(|r| r.merkle_root() == want))
     }
 
     /// Replicate all links round-by-round until converged; returns the
@@ -798,25 +794,6 @@ impl Network {
             "{db} did not converge within {max_rounds} rounds"
         )))
     }
-}
-
-/// Canonical content signature of a replica: every live note's UNID +
-/// current revision fingerprint, plus every stub's UNID + seq.
-fn signature(db: &Database) -> Result<Vec<(u128, u64)>> {
-    let mut sig = Vec::new();
-    for id in db.note_ids(None)? {
-        let n = db.open_note(id)?;
-        let fp = n
-            .revision_at(n.oid.seq)
-            .map(|(f, _)| f)
-            .unwrap_or(n.oid.seq as u64);
-        sig.push((n.unid().0, fp));
-    }
-    for stub in db.stubs()? {
-        sig.push((stub.oid.unid.0, 0x5EB0_0000_0000_0000 | stub.oid.seq as u64));
-    }
-    sig.sort_unstable();
-    Ok(sig)
 }
 
 #[cfg(test)]

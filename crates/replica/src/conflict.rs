@@ -12,23 +12,16 @@
 //! deduplicates by UNID when it replicates.
 
 use domino_core::{Note, ITEM_CONFLICT};
-use domino_types::{Oid, Timestamp, Unid, Value};
+use domino_types::{ContentHasher, Oid, Timestamp, Unid, Value};
 
 /// Deterministic UNID for the conflict document preserving `loser`.
 pub fn conflict_unid(original: Unid, loser_seq: u32, loser_time: Timestamp) -> Unid {
-    // FNV-1a over the identifying fields, widened to 128 bits.
-    let mut h: u128 = 0x6c62272e07bb014262b821756295c58d;
-    let mut mix = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= *b as u128;
-            h = h.wrapping_mul(0x0000000001000000000000000000013B);
-        }
-    };
-    mix(&original.0.to_le_bytes());
-    mix(&loser_seq.to_le_bytes());
-    mix(&loser_time.0.to_le_bytes());
-    mix(b"$Conflict");
-    Unid(h)
+    let mut h = ContentHasher::new();
+    h.update_u128(original.0);
+    h.update(&loser_seq.to_le_bytes());
+    h.update_u64(loser_time.0);
+    h.update(b"$Conflict");
+    Unid(h.finish().0)
 }
 
 /// Build the conflict document for `loser` (a copy of the losing revision,

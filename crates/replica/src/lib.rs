@@ -90,6 +90,4 @@ pub use history::ReplicationHistory;
 pub use replicator::{
     replicate, PullCursor, PurgeSafety, ReplicationOptions, ReplicationReport, Replicator,
 };
-pub use transport::{
-    splitmix64, CleanTransport, RetryPolicy, RetryStats, ScriptedTransport, Transport,
-};
+pub use transport::{CleanTransport, RetryPolicy, RetryStats, ScriptedTransport, Transport};

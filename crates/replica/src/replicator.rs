@@ -4,9 +4,9 @@
 //! at or after the history cutoff and brings `dst` up to date:
 //!
 //! * unseen UNIDs are added; unchanged ones are skipped,
-//! * ancestry is decided from the notes' `$Revisions` lineage: if one
-//!   copy's lineage contains the other's current revision fingerprint,
-//!   the descendant wins cleanly,
+//! * ancestry is decided from the notes' `$RevisionHashes` chains: if
+//!   one copy's chain contains the other's head hash, the descendant
+//!   wins cleanly,
 //! * divergent copies (neither descends from the other) are *conflicts*:
 //!   with `merge_conflicts` on and disjoint field edits, the copies merge
 //!   field-wise; otherwise the loser is preserved as a deterministic
@@ -33,18 +33,15 @@
 //! differs. Two converged replicas exchange one root and stop — no
 //! shared history needed — so a cold-start pair (cleared history, or an
 //! ad-hoc pass that never kept any) diffs in O(buckets + changed) rather
-//! than re-examining every note. Ancestry itself is decided from the
-//! unbounded `$RevisionHashes` chain when present, so a replica any
-//! number of revisions behind still proves clean descent (the bounded
-//! `$Revisions` fingerprints remain as a fallback for chainless notes).
+//! than re-examining every note. The chain is unbounded, so a replica
+//! any number of revisions behind still proves clean descent.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use domino_core::{
-    chain_contains, content_hash_of, latest_common, merged_chain, push_head, revision_chain,
-    revision_head, same_revision, set_chain, ChangedNote, Database, Note, ITEM_REVISIONS,
-    ITEM_REVISION_HASHES, MAX_REVISIONS,
+    chain_contains, content_hash_of, latest_common, merged_chain, push_head, revision_head,
+    same_revision, set_chain, ChangedNote, Database, Note, ITEM_REVISION_HASHES,
 };
 use domino_formula::{EvalEnv, Formula};
 use domino_obs as obs;
@@ -849,54 +846,17 @@ impl Replicator {
 }
 
 /// Total order picking the surviving copy of a conflict. Higher sequence
-/// wins, then later time; the final tiebreak is the revision fingerprint
-/// (which mixes in the editing replica's id), so two replicas that edited
-/// at the same logical instant still agree on one winner.
-fn note_winner_key(n: &Note) -> (u32, Timestamp, u64) {
-    let fp = n.revision_at(n.oid.seq).map(|(f, _)| f).unwrap_or(0);
-    (n.oid.seq, n.oid.seq_time, fp)
+/// wins, then later time; the final tiebreak is the head hash, so two
+/// replicas that edited at the same logical instant still agree on one
+/// winner.
+fn note_winner_key(n: &Note) -> (u32, Timestamp, Option<ContentHash>) {
+    (n.oid.seq, n.oid.seq_time, revision_head(n))
 }
 
-/// Does `a` descend from `b` (i.e. `b`'s current revision appears in `a`'s
-/// lineage)?
-///
-/// When both copies carry a `$RevisionHashes` chain the answer is exact
-/// at **any** edit depth: `a` descends from `b` iff `b`'s head hash is in
-/// `a`'s ancestor set. Chainless (pre-upgrade, hand-built) notes fall
-/// back to the bounded `$Revisions` fingerprints, which can only prove
-/// descent within [`MAX_REVISIONS`] edits.
+/// Does `a` descend from `b`? Exact at **any** edit depth: `b`'s head
+/// hash is in `a`'s ancestor set. Chainless copies never descend.
 fn descends_from(a: &Note, b: &Note) -> bool {
-    if let Some(bh) = revision_head(b) {
-        if !revision_chain(a).is_empty() {
-            return chain_contains(a, bh);
-        }
-    }
-    if a.oid.seq < b.oid.seq {
-        return false;
-    }
-    match (a.revision_at(b.oid.seq), b.revision_at(b.oid.seq)) {
-        (Some(ra), Some(rb)) => ra == rb,
-        _ => false,
-    }
-}
-
-/// Latest common ancestor revision time of two divergent copies, if their
-/// retained lineages still overlap. Hash chains give the exact lowest
-/// common ancestor; chainless notes fall back to the bounded fingerprint
-/// scan.
-fn common_ancestor_time(a: &Note, b: &Note) -> Option<Timestamp> {
-    if let Some((_, t)) = latest_common(a, b) {
-        return Some(t);
-    }
-    let top = a.oid.seq.min(b.oid.seq);
-    for seq in (1..=top).rev() {
-        if let (Some(ra), Some(rb)) = (a.revision_at(seq), b.revision_at(seq)) {
-            if ra == rb {
-                return Some(ra.1);
-            }
-        }
-    }
-    None
+    revision_head(b).is_some_and(|bh| chain_contains(a, bh))
 }
 
 /// Merge two divergent copies field-wise. Succeeds only when no single
@@ -904,7 +864,7 @@ fn common_ancestor_time(a: &Note, b: &Note) -> Option<Timestamp> {
 /// (content *and* identity) is identical no matter which replica computes
 /// it, so merged copies deduplicate as they propagate.
 fn merge_field_wise(local: &Note, remote: &Note) -> Option<Note> {
-    let anc = common_ancestor_time(local, remote)?;
+    let (_, anc) = latest_common(local, remote)?;
     let (winner, other) = if note_winner_key(local) >= note_winner_key(remote) {
         (local, remote)
     } else {
@@ -913,10 +873,8 @@ fn merge_field_wise(local: &Note, remote: &Note) -> Option<Note> {
     let mut merged = winner.clone();
     let mut took_any = false;
     for it in other.items_raw() {
-        // Lineage bookkeeping is rebuilt below, never merged field-wise.
-        if it.name.eq_ignore_ascii_case(ITEM_REVISIONS)
-            || it.name.eq_ignore_ascii_case(ITEM_REVISION_HASHES)
-        {
+        // The chain is rebuilt below, never merged field-wise.
+        if it.name.eq_ignore_ascii_case(ITEM_REVISION_HASHES) {
             continue;
         }
         let ours: Option<&Item> = winner
@@ -952,8 +910,6 @@ fn merge_field_wise(local: &Note, remote: &Note) -> Option<Note> {
     // A real merge is a new revision with a *deterministic* identity
     // derived from both parents, so independently-computed merges of the
     // same pair coincide.
-    let (wfp, _) = winner.revision_at(winner.oid.seq)?;
-    let (ofp, _) = other.revision_at(other.oid.seq)?;
     let new_seq = winner.oid.seq.max(other.oid.seq) + 1;
     let new_time = winner.oid.seq_time.max(other.oid.seq_time);
     merged.oid = domino_types::Oid {
@@ -962,31 +918,6 @@ fn merge_field_wise(local: &Note, remote: &Note) -> Option<Note> {
         seq_time: new_time,
     };
     merged.modified = winner.modified.max(other.modified);
-    let merge_fp = {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in wfp
-            .to_le_bytes()
-            .iter()
-            .chain(ofp.to_le_bytes().iter())
-            .chain(b"$merge".iter())
-        {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    };
-    let mut entries: Vec<String> = match merged.get(ITEM_REVISIONS) {
-        Some(v) => v.iter_scalars().iter().map(|s| s.to_text()).collect(),
-        None => Vec::new(),
-    };
-    entries.push(format!("{merge_fp:016x}|{:016x}", new_time.0));
-    if entries.len() > MAX_REVISIONS {
-        let drop = entries.len() - MAX_REVISIONS;
-        entries.drain(..drop);
-    }
-    let mut rev_item = Item::new(ITEM_REVISIONS, domino_types::Value::TextList(entries));
-    rev_item.revised = new_time;
-    merged.set_item(rev_item);
     // The merge's hash chain: the deterministic union of both parents'
     // ancestor sets, then the merge revision's own head (hashed over the
     // merged items plus both parent heads). Both replicas resolve
@@ -1169,6 +1100,52 @@ mod tests {
         ];
         assert!(texts.contains(&"a-edit".to_string()));
         assert!(texts.contains(&"b-edit".to_string()));
+    }
+
+    #[test]
+    fn same_tick_edits_are_resolved_by_content() {
+        // Both replicas edit one synced note at the same logical tick, so
+        // the two copies carry equal OIDs. Byte-identical edits are one
+        // revision; different edits are one conflict with one winner.
+        for negotiate in [true, false] {
+            for (edit_a, edit_b, want_conflicts) in [("same", "same", 0), ("a-edit", "b-edit", 1)] {
+                let (a, b, _) = pair();
+                let mut r = Replicator::new(ReplicationOptions {
+                    negotiate,
+                    ..ReplicationOptions::default()
+                });
+                let n = doc(&a, "base");
+                r.sync(&a, &b).unwrap();
+                let tick = a.clock().peek().max(b.clock().peek());
+                a.clock().observe(tick);
+                b.clock().observe(tick);
+                for (db, text) in [(&a, edit_a), (&b, edit_b)] {
+                    let mut d = db.open_by_unid(n.unid()).unwrap();
+                    d.set("Subject", Value::text(text));
+                    db.save(&mut d).unwrap();
+                }
+                let main = |db: &Database| db.open_by_unid(n.unid()).unwrap();
+                assert_eq!(main(&a).oid, main(&b).oid, "edits share one tick");
+
+                let (into_a, into_b) = r.sync(&a, &b).unwrap();
+                r.sync(&a, &b).unwrap();
+                let ctx = format!("negotiate={negotiate} {edit_a}/{edit_b}");
+                // The first pull meets the divergence; the second only
+                // re-meets it when the winner is the copy it does not hold.
+                assert_eq!(into_a.conflicts, want_conflicts, "{ctx} {into_a:?}");
+                assert!(into_b.conflicts <= want_conflicts, "{ctx} {into_b:?}");
+                for db in [&a, &b] {
+                    assert_eq!(
+                        db.document_count().unwrap(),
+                        1 + want_conflicts as usize,
+                        "{ctx}"
+                    );
+                }
+                assert_eq!(main(&a).get_text("Subject"), main(&b).get_text("Subject"));
+                assert!(docs_equal(&a, &b), "{ctx}");
+                assert_eq!(a.merkle_root(), b.merkle_root(), "{ctx}");
+            }
+        }
     }
 
     #[test]
@@ -1700,10 +1677,12 @@ mod tests {
     fn deep_edit_runs_apply_cleanly_beyond_fingerprint_depth() {
         // The A2 anomaly, eliminated: with the unbounded hash chain a
         // replica any number of edits behind still proves clean descent.
+        // Four times the depth of the retired 32-entry fingerprint list.
+        const DEPTH: usize = 128;
         let (a, b, mut r) = pair();
         let n = doc(&a, "v0");
         r.sync(&a, &b).unwrap();
-        for i in 0..(MAX_REVISIONS * 4) {
+        for i in 0..DEPTH {
             let mut d = a.open_by_unid(n.unid()).unwrap();
             d.set("Subject", Value::text(format!("v{}", i + 1)));
             a.save(&mut d).unwrap();
@@ -1716,7 +1695,7 @@ mod tests {
                 .unwrap()
                 .get_text("Subject")
                 .unwrap(),
-            format!("v{}", MAX_REVISIONS * 4)
+            format!("v{DEPTH}")
         );
         assert_eq!(a.document_count().unwrap(), 1, "no conflict documents");
     }

@@ -14,7 +14,7 @@
 //! logical clock, so simulations stay reproducible), and a per-pass backoff
 //! budget.
 
-use domino_types::{DominoError, Result};
+use domino_types::{splitmix64, DominoError, Result};
 
 /// Delivers replication messages between two replicas.
 ///
@@ -182,15 +182,6 @@ impl RetryStats {
         self.backoff_ticks += other.backoff_ticks;
         self.gave_up |= other.gave_up;
     }
-}
-
-/// SplitMix64: the tiny deterministic mixer used for backoff jitter (and by
-/// the network fault clock). Public so `domino-net` shares one definition.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

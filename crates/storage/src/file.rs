@@ -36,7 +36,7 @@ use parking_lot::Mutex;
 use crate::disk::Disk;
 use crate::page::{PageBuf, PageId, PAGE_CHECKSUM_OFFSET, PAGE_SIZE};
 use domino_obs as obs;
-use domino_types::{DominoError, Result};
+use domino_types::{fnv1a64, splitmix64, DominoError, Result, SPLITMIX64_GAMMA};
 
 /// Registry handles for file-device telemetry (`Nsf.File.*`).
 struct Metrics {
@@ -79,26 +79,15 @@ pub const SB_CHECKSUM: usize = 56; // u64 FNV-1a over bytes 0..56
 /// Bytes of the superblock that carry meaning (the rest of page 0 is zero).
 pub const SB_LEN: usize = 64;
 
-/// FNV-1a 64-bit over a list of byte slices.
-fn fnv64(chunks: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Per-page checksum: FNV-1a over the page minus its own checksum field,
 /// folded to 16 bits. Never returns 0 — 0 is the "never stamped" marker a
 /// fresh (all-zero) page carries.
 pub fn page_checksum(data: &[u8; PAGE_SIZE]) -> u16 {
-    let h = fnv64(&[
-        &data[..PAGE_CHECKSUM_OFFSET],
-        &data[PAGE_CHECKSUM_OFFSET + 2..],
-    ]);
+    let h = fnv1a64(
+        data[..PAGE_CHECKSUM_OFFSET]
+            .iter()
+            .chain(&data[PAGE_CHECKSUM_OFFSET + 2..]),
+    );
     let folded = (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16;
     if folded == 0 {
         0xFFFF
@@ -136,7 +125,7 @@ impl SuperBlock {
         page[SB_PAGE_SIZE..SB_PAGE_SIZE + 4].copy_from_slice(&self.page_size.to_le_bytes());
         page[SB_RECOVERY_LSN..SB_RECOVERY_LSN + 8]
             .copy_from_slice(&self.recovery_lsn.to_le_bytes());
-        let sum = fnv64(&[&page[..SB_CHECKSUM]]);
+        let sum = fnv1a64(&page[..SB_CHECKSUM]);
         page[SB_CHECKSUM..SB_CHECKSUM + 8].copy_from_slice(&sum.to_le_bytes());
         page
     }
@@ -151,7 +140,7 @@ impl SuperBlock {
             return Err(DominoError::Corrupt("not an NSF file (bad magic)".into()));
         }
         let stored = u64::from_le_bytes(page[SB_CHECKSUM..SB_CHECKSUM + 8].try_into().expect("8"));
-        let computed = fnv64(&[&page[..SB_CHECKSUM]]);
+        let computed = fnv1a64(&page[..SB_CHECKSUM]);
         if stored != computed {
             return Err(DominoError::Corrupt(format!(
                 "superblock checksum mismatch (stored {stored:#x}, computed {computed:#x})"
@@ -410,14 +399,6 @@ pub struct CrashDisk<D: Disk> {
     pending: Mutex<BTreeMap<PageId, Box<[u8; PAGE_SIZE]>>>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl<D: Disk> CrashDisk<D> {
     pub fn new(inner: D) -> CrashDisk<D> {
         CrashDisk {
@@ -443,9 +424,14 @@ impl<D: Disk> CrashDisk<D> {
             CrashMode::DropUnsynced => {}
             CrashMode::Reorder { seed } | CrashMode::Torn { seed } => {
                 let mut rng = seed;
+                let mut draw = || {
+                    let v = splitmix64(rng);
+                    rng = rng.wrapping_add(SPLITMIX64_GAMMA);
+                    v
+                };
                 let mut skipped: Vec<(PageId, Box<[u8; PAGE_SIZE]>)> = Vec::new();
                 for (id, data) in pending.iter() {
-                    if splitmix64(&mut rng) & 1 == 1 {
+                    if draw() & 1 == 1 {
                         self.inner.write_page(
                             *id,
                             &PageBuf {
@@ -475,7 +461,7 @@ impl<D: Disk> CrashDisk<D> {
                     )?;
                     let mut torn = PageBuf::zeroed(*id);
                     self.inner.read_page(*id, &mut torn)?;
-                    let cut = (splitmix64(&mut rng) as usize % (PAGE_SIZE - 1)) + 1;
+                    let cut = (draw() as usize % (PAGE_SIZE - 1)) + 1;
                     torn.data[cut..].copy_from_slice(&old.data[cut..]);
                     self.inner.write_page_raw(*id, &torn)?;
                 }

@@ -1,4 +1,13 @@
-//! Content hashing for the revision store.
+//! The engine's non-cryptographic hash primitives, one per width.
+//!
+//! * [`fnv1a32`] — FNV-1a-32, the checksum of WAL records (FORMAT.md §9)
+//!   and wire frames (FORMAT.md §11).
+//! * [`fnv1a64`] — FNV-1a-64, the superblock and page checksums
+//!   (FORMAT.md §2 and §3.2).
+//! * [`ContentHasher`] — FNV-1a widened to 128 bits, the revision store's
+//!   [`ContentHash`] and the deterministic conflict-document UNIDs.
+//! * [`splitmix64`] — the SplitMix64 mixer behind every seeded fault
+//!   stream and the replication retry jitter.
 //!
 //! Every saved revision of a note is identified by a [`ContentHash`]: a
 //! 128-bit digest over the note's canonical item encoding plus the hashes
@@ -8,19 +17,52 @@
 //! on its head hash, and identical edit schedules replayed against
 //! identical clocks produce identical chains.
 //!
-//! The digest is FNV-1a widened to 128 bits. That is not a cryptographic
-//! hash; it is the same family the engine already uses for revision
-//! fingerprints and conflict UNIDs, it needs no external crates, and at
-//! 128 bits accidental collisions are out of reach for any database this
-//! engine can hold. Swapping in a cryptographic digest later only means
-//! replacing [`ContentHasher`]'s mixing step.
+//! FNV-1a is not a cryptographic hash, but it needs no external crates,
+//! and at 128 bits accidental collisions are out of reach for any
+//! database this engine can hold. Swapping in a cryptographic digest
+//! later only means replacing [`ContentHasher`]'s mixing step.
 
 use std::fmt;
 
+/// FNV-1a-32 offset basis.
+const FNV32_OFFSET: u32 = 0x811c_9dc5;
+/// FNV-1a-32 prime.
+const FNV32_PRIME: u32 = 0x0100_0193;
+/// FNV-1a-64 offset basis.
+const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a-64 prime.
+const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// 128-bit FNV-1a offset basis.
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 /// 128-bit FNV-1a prime.
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
+
+/// SplitMix64's stream increment (2^64 / φ). Draw `i` of the stream
+/// seeded with `s` is `splitmix64(s + i·SPLITMIX64_GAMMA)`.
+pub const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// FNV-1a-32 over `bytes` (a slice, or any chain of byte iterators).
+pub fn fnv1a32<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> u32 {
+    bytes.into_iter().fold(FNV32_OFFSET, |h, b| {
+        (h ^ u32::from(*b)).wrapping_mul(FNV32_PRIME)
+    })
+}
+
+/// FNV-1a-64 over `bytes` (a slice, or any chain of byte iterators).
+pub fn fnv1a64<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> u64 {
+    bytes.into_iter().fold(FNV64_OFFSET, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(FNV64_PRIME)
+    })
+}
+
+/// SplitMix64: one stateless step of Steele, Lea and Flood's generator.
+/// Seeded streams step their state by [`SPLITMIX64_GAMMA`] per draw.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(SPLITMIX64_GAMMA);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
 
 /// A 128-bit content digest identifying one revision of a note (or one
 /// Merkle summary node). The zero hash is reserved as "no revision".
@@ -119,6 +161,29 @@ pub fn mix128(a: u128, b: u128) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn known_answers() {
+        assert_eq!(fnv1a32(b""), 0x811c_9dc5);
+        assert_eq!(fnv1a32(b"a"), 0xe40c_292c);
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(content_hash(b"").0, FNV_OFFSET);
+        assert_eq!(
+            content_hash(b"a").0,
+            0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964
+        );
+        // First draws of the reference SplitMix64 stream seeded with 0.
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(SPLITMIX64_GAMMA), 0x6e78_9e6a_a1b9_65f4);
+    }
+
+    #[test]
+    fn chained_input_matches_contiguous() {
+        let data = b"checksum";
+        assert_eq!(fnv1a64(data[..3].iter().chain(&data[3..])), fnv1a64(data));
+        assert_eq!(fnv1a32(data[..5].iter().chain(&data[5..])), fnv1a32(data));
+    }
 
     #[test]
     fn deterministic_and_sensitive() {

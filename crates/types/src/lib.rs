@@ -28,7 +28,10 @@ pub mod wire;
 
 pub use datetime::{days_in_month, Civil, SECONDS_PER_DAY};
 pub use error::{DominoError, Result};
-pub use hash::{content_hash, mix128, ContentHash, ContentHasher};
+pub use hash::{
+    content_hash, fnv1a32, fnv1a64, mix128, splitmix64, ContentHash, ContentHasher,
+    SPLITMIX64_GAMMA,
+};
 pub use id::{NoteClass, NoteId, Oid, ReplicaId, Unid};
 pub use item::{Item, ItemFlags};
 pub use time::{Clock, LogicalClock, Timestamp};

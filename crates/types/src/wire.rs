@@ -26,6 +26,7 @@
 //! discipline FORMAT.md applies to the NSF page format.
 
 use crate::error::{DominoError, Result};
+use crate::hash::fnv1a32;
 
 /// Handshake magic: the first four payload bytes of a [`Opcode::Hello`].
 pub const WIRE_MAGIC: [u8; 4] = *b"NRPC";
@@ -47,22 +48,6 @@ pub const FRAME_HEADER_LEN: usize = 9;
 /// as [`DominoError::Corrupt`] before any allocation, bounding memory
 /// per connection no matter what arrives on the socket.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
-
-/// FNV-1a-32 offset basis.
-const FNV32_OFFSET: u32 = 0x811c_9dc5;
-/// FNV-1a-32 prime.
-const FNV32_PRIME: u32 = 0x0100_0193;
-
-/// FNV-1a-32 over `bytes` — the frame checksum (and cheap enough to run
-/// per message on the hot path).
-pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h = FNV32_OFFSET;
-    for b in bytes {
-        h ^= u32::from(*b);
-        h = h.wrapping_mul(FNV32_PRIME);
-    }
-    h
-}
 
 /// Message opcodes. Values are part of the wire format — never reuse or
 /// renumber a released opcode; add new ones instead.

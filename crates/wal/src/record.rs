@@ -1,6 +1,6 @@
 //! Log sequence numbers, transaction ids, and log records.
 
-use domino_types::{DominoError, Result};
+use domino_types::{fnv1a32, DominoError, Result};
 
 /// A log sequence number: the byte offset of a record in the log. LSN 0 is
 /// "nil" (before everything).
@@ -152,7 +152,7 @@ impl LogRecord {
         }
         let mut out = Vec::with_capacity(payload.len() + 8);
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&checksum(&payload).to_le_bytes());
+        out.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
         out
     }
@@ -174,7 +174,7 @@ impl LogRecord {
             return Ok(None);
         }
         let payload = &buf[*pos + 8..*pos + 8 + len];
-        if checksum(payload) != want_sum {
+        if fnv1a32(payload) != want_sum {
             return Ok(None);
         }
         *pos += 8 + len;
@@ -243,16 +243,6 @@ impl LogRecord {
         };
         Ok(Some(rec))
     }
-}
-
-/// FNV-1a, enough to detect torn writes (not adversarial corruption).
-fn checksum(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c9dc5;
-    for b in bytes {
-        h ^= *b as u32;
-        h = h.wrapping_mul(0x01000193);
-    }
-    h
 }
 
 fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
