@@ -223,6 +223,7 @@ fn every_registered_metric_name_conforms() {
         "Http.Request.Served",
         "Http.Conn.Accepted",
         "Net.Conn.Frames",
+        "Net.Conn.Rejected",
         "Ft.Queries",
         "View.Rebuilds",
         "Mail.Delivered",

@@ -24,6 +24,7 @@
 //! thousand-save import as one parallel batch instead of a thousand
 //! single-document updates.
 
+use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -281,30 +282,7 @@ struct DbInner {
 
 /// Handle to a background checkpointer thread started by
 /// [`Database::start_checkpointer`]. Stops and joins the thread on drop.
-pub struct CheckpointerHandle {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl CheckpointerHandle {
-    /// Stop the thread and wait for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for CheckpointerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+pub use domino_obs::TaskThread as CheckpointerHandle;
 
 /// A Notes database. Thread-safe; share via `Arc<Database>`.
 ///
@@ -1251,45 +1229,29 @@ impl Database {
     }
 
     /// Spawn a background checkpointing thread that runs
-    /// [`Database::checkpoint_incremental`] every `interval`. The returned
-    /// handle stops and joins the thread when dropped (or via
-    /// [`CheckpointerHandle::stop`]); the thread also exits on its own once
-    /// the database is dropped.
+    /// [`Database::checkpoint_incremental`] `interval` after the previous
+    /// run ended. The returned handle stops and joins the thread at once
+    /// when dropped (or via [`CheckpointerHandle::stop`]); the thread
+    /// also exits on its own once the database is dropped.
     pub fn start_checkpointer(
         self: &Arc<Database>,
-        interval: std::time::Duration,
+        interval: Duration,
         pages_per_step: usize,
     ) -> CheckpointerHandle {
-        use std::sync::atomic::Ordering;
         let weak = Arc::downgrade(self);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let task_name = format!("checkpointer:{}", self.title());
-        let handle = std::thread::spawn(move || {
-            let task = domino_obs::register_task(&task_name, "Fuzzy checkpoint");
-            // Sleep in short slices so stop() never waits a full interval.
-            let slice = std::time::Duration::from_millis(5)
-                .min(interval)
-                .max(std::time::Duration::from_millis(1));
-            let mut elapsed = std::time::Duration::ZERO;
-            while !stop_flag.load(Ordering::Relaxed) {
-                std::thread::sleep(slice);
-                elapsed += slice;
-                if elapsed < interval {
-                    continue;
+        let name = format!("checkpointer:{}", self.title());
+        obs::spawn_periodic(&name, "Fuzzy checkpoint", interval, move |task, wake| {
+            match (wake, weak.upgrade()) {
+                (obs::Wake::Due, Some(db)) => {
+                    // Best-effort: a failed cycle (e.g. I/O error) is
+                    // retried at the next interval.
+                    let _ = db.checkpoint_incremental(pages_per_step);
+                    task.beat();
+                    ControlFlow::Continue(())
                 }
-                elapsed = std::time::Duration::ZERO;
-                let Some(db) = weak.upgrade() else { return };
-                // Best-effort: a failed cycle (e.g. I/O error) is retried
-                // at the next interval.
-                let _ = db.checkpoint_incremental(pages_per_step);
-                task.beat();
+                _ => ControlFlow::Break(()),
             }
-        });
-        CheckpointerHandle {
-            stop,
-            handle: Some(handle),
-        }
+        })
     }
 
     /// Flush everything and truncate the log (clean shutdown).

@@ -1,7 +1,8 @@
 //! The TCP front door: a real `std::net` HTTP/1.1 listener in front of
 //! [`DominoServer`].
 //!
-//! Connection model (Domino's, scaled down): an accept thread admits up
+//! Connection model (Domino's, scaled down, on the listener skeleton
+//! the wire face shares): an accept thread admits up
 //! to [`HttpConfig::max_connections`] concurrent connections — beyond
 //! that it answers `503` on the spot and closes, the connection-level
 //! twin of the worker pool's load shed. Each admitted connection gets a
@@ -18,23 +19,20 @@
 //! connections, then wait for the worker pool's queue to empty
 //! ([`DominoServer::drain`]). Accepted work is never dropped.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use domino_obs as obs;
 use domino_server::{DominoServer, Response};
-use domino_types::{DominoError, Result};
+use domino_types::Result;
 
+pub use crate::listen::DrainReport;
+use crate::listen::{Accepted, Face, Listener, DRAIN_TIMEOUT};
 use crate::parser::{HttpParser, ParseError, ParserLimits};
 
 struct Metrics {
-    accepted: &'static obs::Counter,
-    active: &'static obs::Gauge,
-    rejected: &'static obs::Counter,
     requests: &'static obs::Counter,
     bad_requests: &'static obs::Counter,
     drained: &'static obs::Counter,
@@ -43,17 +41,11 @@ struct Metrics {
 fn m() -> &'static Metrics {
     static M: OnceLock<Metrics> = OnceLock::new();
     M.get_or_init(|| Metrics {
-        accepted: obs::counter("Http.Conn.Accepted"),
-        active: obs::gauge("Http.Conn.Active"),
-        rejected: obs::counter("Http.Conn.Rejected"),
         requests: obs::counter("Http.Conn.Requests"),
         bad_requests: obs::counter("Http.Conn.BadRequests"),
         drained: obs::counter("Http.Conn.Drained"),
     })
 }
-
-/// How often blocked reads wake to check deadlines and the stop flag.
-const POLL_TICK: Duration = Duration::from_millis(25);
 
 /// Sizing and timeout knobs for the listener (OPERATIONS.md §11).
 #[derive(Debug, Clone)]
@@ -83,214 +75,74 @@ impl Default for HttpConfig {
     }
 }
 
-/// What a graceful drain accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainReport {
-    /// Connections open when the drain began.
-    pub connections_at_start: usize,
-    /// Connections still open when the wait gave up (0 = clean drain).
-    pub remaining: usize,
-}
-
-struct HttpShared {
-    server: DominoServer,
-    config: HttpConfig,
-    stop: AtomicBool,
-    active: Mutex<usize>,
-    all_idle: Condvar,
-}
-
-impl HttpShared {
-    fn active(&self) -> usize {
-        *self.active.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
 /// The running HTTP listener task.
 pub struct HttpListener {
-    addr: std::net::SocketAddr,
-    shared: Arc<HttpShared>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    listen: Listener,
+    server: DominoServer,
 }
 
 impl HttpListener {
     /// Bind and start serving `server` at `config.addr`.
     pub fn start(server: DominoServer, config: HttpConfig) -> Result<HttpListener> {
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| DominoError::Unavailable(format!("bind {}: {e}", config.addr)))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| DominoError::Unavailable(format!("local_addr: {e}")))?;
-        let shared = Arc::new(HttpShared {
-            server,
-            config,
-            stop: AtomicBool::new(false),
-            active: Mutex::new(0),
-            all_idle: Condvar::new(),
-        });
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
-        let accept_shared = shared.clone();
-        let accept_conns = conn_threads.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("http-listener".into())
-            .spawn(move || accept_loop(&listener, addr, &accept_shared, &accept_conns))
-            .map_err(|e| DominoError::Unavailable(format!("spawn http-listener: {e}")))?;
-        Ok(HttpListener {
-            addr,
-            shared,
-            accept_thread: Mutex::new(Some(accept_thread)),
-            conn_threads,
-        })
+        let face = Face {
+            name: "http",
+            title: "HTTP listener",
+            kind: obs::EventKind::Http,
+            listen_event: "Http.Listen",
+            open_event: None,
+            close_event: "Http.Conn.Closed",
+            rejected_event: "Http.Conn.Rejected",
+            accepted: obs::counter("Http.Conn.Accepted"),
+            active: obs::gauge("Http.Conn.Active"),
+            rejected: obs::counter("Http.Conn.Rejected"),
+            max_connections: config.max_connections,
+            write_timeout: config.io_timeout,
+            refuse: refuse_overloaded,
+        };
+        let conn_server = server.clone();
+        let listen = Listener::start(&config.addr.clone(), face, move |conn| {
+            serve_http_conn(conn, &conn_server, &config)
+        })?;
+        Ok(HttpListener { listen, server })
     }
 
     /// The bound address, e.g. `127.0.0.1:41237`.
     pub fn addr(&self) -> String {
-        self.addr.to_string()
+        self.listen.addr().to_string()
     }
 
     /// Connections currently open.
     pub fn active_connections(&self) -> usize {
-        self.shared.active()
+        self.listen.active()
     }
 
     /// Graceful shutdown: stop accepting, finish in-flight requests,
     /// close idle keep-alive connections, then drain the worker pool.
     /// Waits up to `timeout` for connections to finish; idempotent.
     pub fn drain(&self, timeout: Duration) -> DrainReport {
-        let connections_at_start = self.shared.active();
-        if !self.shared.stop.swap(true, Ordering::SeqCst) {
-            // First drain: wake the blocking accept and retire it.
-            let _ = TcpStream::connect(self.addr);
-            if let Some(t) = self
-                .accept_thread
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .take()
-            {
-                let _ = t.join();
-            }
-        }
-        let deadline = Instant::now() + timeout;
-        let mut active = self.shared.active.lock().unwrap_or_else(|p| p.into_inner());
-        while *active > 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            let (g, _) = self
-                .shared
-                .all_idle
-                .wait_timeout(active, left)
-                .unwrap_or_else(|p| p.into_inner());
-            active = g;
-        }
-        let remaining = *active;
-        drop(active);
-        if remaining == 0 {
-            for t in
-                std::mem::take(&mut *self.conn_threads.lock().unwrap_or_else(|p| p.into_inner()))
-            {
-                let _ = t.join();
-            }
+        let report = self.listen.drain(timeout);
+        if report.remaining == 0 {
             // Finish whatever the connections queued before joining is
             // observable: the pool's explicit drain.
-            self.shared.server.drain();
+            self.server.drain();
         }
         obs::emit(
             obs::Event::new(obs::EventKind::Http, obs::Severity::Normal, "Http.Drain")
-                .with("connections", connections_at_start as u64)
-                .with("remaining", remaining as u64),
+                .with("connections", report.connections_at_start as u64)
+                .with("remaining", report.remaining as u64),
         );
-        DrainReport {
-            connections_at_start,
-            remaining,
-        }
+        report
     }
 }
 
 impl Drop for HttpListener {
     fn drop(&mut self) {
-        self.drain(Duration::from_secs(10));
+        self.drain(DRAIN_TIMEOUT);
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    addr: std::net::SocketAddr,
-    shared: &Arc<HttpShared>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let task = obs::register_task("http-listener", "HTTP listener");
-    task.set_status(&format!("Listen http://{addr}/"));
-    obs::emit(
-        obs::Event::new(obs::EventKind::Http, obs::Severity::Normal, "Http.Listen")
-            .with("addr", addr.to_string()),
-    );
-    for stream in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        task.beat();
-        {
-            let mut active = shared.active.lock().unwrap_or_else(|p| p.into_inner());
-            if *active >= shared.config.max_connections {
-                drop(active);
-                m().rejected.inc();
-                obs::emit(
-                    obs::Event::new(
-                        obs::EventKind::Http,
-                        obs::Severity::Warning,
-                        "Http.Conn.Rejected",
-                    )
-                    .with("max", shared.config.max_connections as u64),
-                );
-                reject_overloaded(stream);
-                continue;
-            }
-            *active += 1;
-        }
-        m().accepted.inc();
-        m().active.add(1);
-        let conn_shared = shared.clone();
-        match std::thread::Builder::new()
-            .name("http-conn".into())
-            .spawn(move || {
-                let outcome = serve_http_conn(stream, &conn_shared);
-                m().active.add(-1);
-                let mut active = conn_shared.active.lock().unwrap_or_else(|p| p.into_inner());
-                *active -= 1;
-                if *active == 0 {
-                    conn_shared.all_idle.notify_all();
-                }
-                drop(active);
-                obs::emit(
-                    obs::Event::new(
-                        obs::EventKind::Http,
-                        obs::Severity::Info,
-                        "Http.Conn.Closed",
-                    )
-                    .with("outcome", outcome),
-                );
-            }) {
-            Ok(h) => conns.lock().unwrap_or_else(|p| p.into_inner()).push(h),
-            Err(_) => {
-                // Could not spawn: undo the admission.
-                m().active.add(-1);
-                let mut active = shared.active.lock().unwrap_or_else(|p| p.into_inner());
-                *active -= 1;
-                if *active == 0 {
-                    shared.all_idle.notify_all();
-                }
-            }
-        }
-    }
-    task.set_status("Quit");
-}
-
-/// Over the connection cap: answer 503 without admitting the socket.
-fn reject_overloaded(mut stream: TcpStream) {
+/// Over the connection cap: answer 503 before the socket is closed.
+fn refuse_overloaded(stream: &mut TcpStream) {
     let body = "server connection limit reached - retry later";
     let head = format!(
         "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n\
@@ -304,47 +156,42 @@ fn reject_overloaded(mut stream: TcpStream) {
 
 /// One admitted connection: parse → serve → respond until close.
 /// Returns a short outcome label for the close event.
-fn serve_http_conn(mut stream: TcpStream, shared: &HttpShared) -> &'static str {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_TICK));
-    let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
-    let mut parser = HttpParser::new(shared.config.limits);
+fn serve_http_conn(
+    mut conn: Accepted<'_>,
+    server: &DominoServer,
+    config: &HttpConfig,
+) -> &'static str {
+    let mut parser = HttpParser::new(config.limits);
     let mut buf = [0u8; 8192];
     let mut last_activity = Instant::now();
     let mut request_since: Option<Instant> = None;
     loop {
-        if shared.stop.load(Ordering::SeqCst) && request_since.is_none() {
+        if conn.stopping() && request_since.is_none() {
             m().drained.inc();
             return "drained";
         }
         match request_since {
-            Some(t) if t.elapsed() > shared.config.io_timeout => return "request deadline",
-            None if last_activity.elapsed() > shared.config.idle_timeout => return "idle timeout",
+            Some(t) if t.elapsed() > config.io_timeout => return "request deadline",
+            None if last_activity.elapsed() > config.idle_timeout => return "idle timeout",
             _ => {}
         }
-        let fed = match stream.read(&mut buf) {
-            Ok(0) => return "peer closed",
-            Ok(n) => &buf[..n],
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return "read error",
+        let n = match conn.read(&mut buf) {
+            Ok(Some(n)) => n,
+            Ok(None) => continue,
+            Err(outcome) => return outcome,
         };
         last_activity = Instant::now();
-        let mut chunk = fed;
+        let mut chunk = &buf[..n];
         loop {
             match parser.feed(chunk) {
                 Ok(Some(parsed)) => {
                     chunk = &[];
                     m().requests.inc();
-                    let resp = shared.server.serve(parsed.request);
+                    let resp = server.serve(parsed.request);
                     // Honour the client's keep-alive wish unless a drain
                     // is in progress — then close as soon as we're done.
-                    let keep = parsed.keep_alive && !shared.stop.load(Ordering::SeqCst);
-                    if write_response(&mut stream, &resp, keep).is_err() {
+                    let keep = parsed.keep_alive && !conn.stopping();
+                    if write_response(&mut conn.stream, &resp, keep).is_err() {
                         return "write error";
                     }
                     request_since = None;
@@ -372,7 +219,7 @@ fn serve_http_conn(mut stream: TcpStream, shared: &HttpShared) -> &'static str {
                         .with("status", u64::from(e.status_code()))
                         .with("detail", e.detail().to_string()),
                     );
-                    let _ = write_parse_error(&mut stream, &e);
+                    let _ = write_parse_error(&mut conn.stream, &e);
                     return "bad request";
                 }
             }

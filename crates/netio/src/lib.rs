@@ -26,6 +26,7 @@
 #![deny(missing_docs)]
 
 pub mod httpd;
+mod listen;
 pub mod parser;
 pub mod repl;
 

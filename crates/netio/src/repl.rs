@@ -2,7 +2,8 @@
 //!
 //! Two halves:
 //!
-//! * [`ReplicaListener`] — the server side. It accepts TCP connections,
+//! * [`ReplicaListener`] — the server side. It accepts up to 64
+//!   concurrent TCP connections (closing the rest at the door),
 //!   answers the [`Frame::hello`] handshake, and acks every
 //!   [`Opcode::Deliver`] frame (or nacks scripted ones — see
 //!   [`ReplicaListener::fail_deliveries`], the socket analogue of
@@ -23,19 +24,18 @@
 //! points line up one-to-one.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use domino_obs as obs;
 use domino_replica::Transport;
 use domino_types::{DominoError, Frame, FrameDecoder, Opcode, Result};
 
+use crate::listen::{lock, Accepted, DrainReport, Face, Listener, DRAIN_TIMEOUT};
+
 struct Metrics {
-    accepted: &'static obs::Counter,
-    active: &'static obs::Gauge,
     frames: &'static obs::Counter,
     delivered: &'static obs::Counter,
     nacked: &'static obs::Counter,
@@ -45,8 +45,6 @@ struct Metrics {
 fn m() -> &'static Metrics {
     static M: OnceLock<Metrics> = OnceLock::new();
     M.get_or_init(|| Metrics {
-        accepted: obs::counter("Net.Conn.Accepted"),
-        active: obs::gauge("Net.Conn.Active"),
         frames: obs::counter("Net.Conn.Frames"),
         delivered: obs::counter("Net.Conn.Delivered"),
         nacked: obs::counter("Net.Conn.Nacked"),
@@ -58,11 +56,11 @@ fn m() -> &'static Metrics {
 /// gone (both sides use it as their I/O deadline).
 const IO_DEADLINE: Duration = Duration::from_secs(5);
 
-/// The poll tick idle server connections use to notice a shutdown.
-const POLL_TICK: Duration = Duration::from_millis(25);
+/// Concurrent replication connections admitted; the next one is closed
+/// at the door (OPERATIONS.md §11).
+const MAX_CONNECTIONS: usize = 64;
 
 struct ListenerShared {
-    stop: AtomicBool,
     /// Global 0-based index of the next `Deliver` frame, across all
     /// connections — the same counting `ScriptedTransport` does over its
     /// lifetime, so a fault plan written for one drives the other.
@@ -75,10 +73,8 @@ struct ListenerShared {
 /// Bound to an ephemeral loopback port by default; hand
 /// [`ReplicaListener::addr`] to a [`SocketTransport`].
 pub struct ReplicaListener {
-    addr: std::net::SocketAddr,
+    listen: Listener,
     shared: Arc<ListenerShared>,
-    accept_thread: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl ReplicaListener {
@@ -86,60 +82,33 @@ impl ReplicaListener {
     /// picks an ephemeral port (read it back with
     /// [`ReplicaListener::addr`]).
     pub fn bind(addr: &str) -> Result<ReplicaListener> {
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| DominoError::Unavailable(format!("bind {addr}: {e}")))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| DominoError::Unavailable(format!("local_addr: {e}")))?;
+        let face = Face {
+            name: "replica",
+            title: "Replication wire listener",
+            kind: obs::EventKind::Replica,
+            listen_event: "Net.Listen",
+            open_event: Some("Net.Conn.Open"),
+            close_event: "Net.Conn.Close",
+            rejected_event: "Net.Conn.Rejected",
+            accepted: obs::counter("Net.Conn.Accepted"),
+            active: obs::gauge("Net.Conn.Active"),
+            rejected: obs::counter("Net.Conn.Rejected"),
+            max_connections: MAX_CONNECTIONS,
+            write_timeout: IO_DEADLINE,
+            refuse: |_| {},
+        };
         let shared = Arc::new(ListenerShared {
-            stop: AtomicBool::new(false),
             deliver_seq: AtomicU64::new(0),
             fail_at: Mutex::new(Vec::new()),
         });
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
-        let accept_shared = shared.clone();
-        let accept_conns = conn_threads.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("replica-listener".into())
-            .spawn(move || {
-                let task = obs::register_task("replica-listener", "Replication wire listener");
-                task.set_status(&format!("Listen {local}"));
-                obs::emit(
-                    obs::Event::new(obs::EventKind::Replica, obs::Severity::Normal, "Net.Listen")
-                        .with("addr", local.to_string()),
-                );
-                for stream in listener.incoming() {
-                    if accept_shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    m().accepted.inc();
-                    task.beat();
-                    let conn_shared = accept_shared.clone();
-                    if let Ok(h) = std::thread::Builder::new()
-                        .name("replica-conn".into())
-                        .spawn(move || serve_connection(stream, &conn_shared))
-                    {
-                        accept_conns
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .push(h);
-                    }
-                }
-                task.set_status("Quit");
-            })
-            .map_err(|e| DominoError::Unavailable(format!("spawn listener: {e}")))?;
-        Ok(ReplicaListener {
-            addr: local,
-            shared,
-            accept_thread: Some(accept_thread),
-            conn_threads,
-        })
+        let conn_shared = shared.clone();
+        let listen = Listener::start(addr, face, move |conn| serve_frames(conn, &conn_shared))?;
+        Ok(ReplicaListener { listen, shared })
     }
 
     /// The bound address (connect a [`SocketTransport`] here).
     pub fn addr(&self) -> String {
-        self.addr.to_string()
+        self.listen.addr().to_string()
     }
 
     /// Nack the `Deliver` frames whose global 0-based index appears in
@@ -148,11 +117,7 @@ impl ReplicaListener {
     /// received over the listener's lifetime, across reconnects, which
     /// is exactly how `ScriptedTransport` counts its own `sent`.
     pub fn fail_deliveries(&self, fail_at: Vec<u64>) {
-        *self
-            .shared
-            .fail_at
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = fail_at;
+        *lock(&self.shared.fail_at) = fail_at;
     }
 
     /// `Deliver` frames received so far (acked + nacked).
@@ -160,79 +125,34 @@ impl ReplicaListener {
         self.shared.deliver_seq.load(Ordering::SeqCst)
     }
 
-    /// Stop accepting and join every connection thread.
-    pub fn shutdown(&mut self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let conns: Vec<JoinHandle<()>> =
-            std::mem::take(&mut self.conn_threads.lock().unwrap_or_else(|p| p.into_inner()));
-        for c in conns {
-            let _ = c.join();
-        }
+    /// Stop accepting and wait up to `timeout` for open connections to
+    /// end; a clean drain (`remaining == 0`) has joined every
+    /// connection thread. Idempotent.
+    pub fn drain(&self, timeout: Duration) -> DrainReport {
+        self.listen.drain(timeout)
     }
-}
 
-impl Drop for ReplicaListener {
-    fn drop(&mut self) {
-        self.shutdown();
+    /// Stop accepting and join every connection thread: a
+    /// [`drain`](ReplicaListener::drain) with a 10 s limit.
+    pub fn shutdown(&mut self) {
+        self.drain(DRAIN_TIMEOUT);
     }
 }
 
 /// One accepted connection: handshake, then ack/nack deliveries until
 /// the peer quits, errors, or the listener stops.
-fn serve_connection(stream: TcpStream, shared: &ListenerShared) {
-    m().active.add(1);
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "?".into());
-    obs::emit(
-        obs::Event::new(
-            obs::EventKind::Replica,
-            obs::Severity::Info,
-            "Net.Conn.Open",
-        )
-        .with("peer", peer.clone()),
-    );
-    let outcome = serve_frames(stream, shared);
-    m().active.add(-1);
-    obs::emit(
-        obs::Event::new(
-            obs::EventKind::Replica,
-            obs::Severity::Info,
-            "Net.Conn.Close",
-        )
-        .with("peer", peer)
-        .with("outcome", outcome),
-    );
-}
-
-fn serve_frames(mut stream: TcpStream, shared: &ListenerShared) -> &'static str {
-    let _ = stream.set_read_timeout(Some(POLL_TICK));
-    let _ = stream.set_write_timeout(Some(IO_DEADLINE));
+fn serve_frames(mut conn: Accepted<'_>, shared: &ListenerShared) -> &'static str {
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 4096];
     let mut greeted = false;
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
+        if conn.stopping() {
             return "listener stopped";
         }
-        match stream.read(&mut buf) {
-            Ok(0) => return "peer closed",
-            Ok(n) => dec.feed(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return "read error",
+        match conn.read(&mut buf) {
+            Ok(Some(n)) => dec.feed(&buf[..n]),
+            Ok(None) => continue,
+            Err(outcome) => return outcome,
         }
         loop {
             let frame = match dec.next_frame() {
@@ -255,12 +175,7 @@ fn serve_frames(mut stream: TcpStream, shared: &ListenerShared) -> &'static str 
                 }
                 Opcode::Deliver if greeted => {
                     let idx = shared.deliver_seq.fetch_add(1, Ordering::SeqCst);
-                    let scripted = shared
-                        .fail_at
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .contains(&idx);
-                    if scripted {
+                    if lock(&shared.fail_at).contains(&idx) {
                         m().nacked.inc();
                         Frame::nack(&format!("scripted message loss at delivery {idx}"))
                     } else {
@@ -274,14 +189,14 @@ fn serve_frames(mut stream: TcpStream, shared: &ListenerShared) -> &'static str 
                     return "protocol error";
                 }
             };
-            if stream.write_all(&reply.encode()).is_err() {
+            if conn.stream.write_all(&reply.encode()).is_err() {
                 return "write error";
             }
             // A nacked delivery ends the exchange: the client parks its
             // cursor and reconnects for the resumed pass, mirroring a
             // dropped dial-up link.
             if reply.opcode == Opcode::Nack {
-                let _ = stream.shutdown(Shutdown::Both);
+                let _ = conn.stream.shutdown(Shutdown::Both);
                 return "nacked";
             }
         }
@@ -463,5 +378,32 @@ mod tests {
             Err(DominoError::Unavailable(_)) => {}
             other => panic!("dead peer must be Unavailable, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_connection_flood_is_refused_at_the_cap() {
+        let listener = ReplicaListener::bind("127.0.0.1:0").unwrap();
+        let mut admitted = SocketTransport::connect(&listener.addr());
+        admitted.deliver(1).unwrap();
+        let rejected = obs::counter("Net.Conn.Rejected").get();
+        let flood: Vec<TcpStream> = (0..MAX_CONNECTIONS + 8)
+            .map(|_| TcpStream::connect(listener.addr()).unwrap())
+            .collect();
+        // `admitted` holds one slot, so the last nine of the flood are
+        // closed at the door.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while obs::counter("Net.Conn.Rejected").get() < rejected + 9 {
+            assert!(std::time::Instant::now() < deadline, "flood never refused");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut refused = SocketTransport::connect(&listener.addr());
+        match refused.deliver(1) {
+            Err(DominoError::Unavailable(_)) => {}
+            other => panic!("a refused connection must be Unavailable, got {other:?}"),
+        }
+        admitted.deliver(1).unwrap();
+        drop(flood);
+        assert_eq!(listener.drain(Duration::from_secs(5)).remaining, 0);
+        assert_eq!(listener.deliveries(), 2);
     }
 }

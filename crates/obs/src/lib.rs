@@ -93,4 +93,6 @@ pub use span::{
     current_path, enter, enter_timed, set_slow_threshold, slow_ops, slow_threshold, take_slow_ops,
     SlowOp, SpanGuard, SLOW_LOG_CAPACITY,
 };
-pub use task::{register_task, show_tasks, tasks, TaskHandle, TaskInfo};
+pub use task::{
+    register_task, show_tasks, spawn_periodic, tasks, TaskHandle, TaskInfo, TaskThread, Wake,
+};

@@ -6,10 +6,14 @@
 //! renders the live roster the way a Domino console does — task name,
 //! state, and activity — so an operator can see at a glance what the
 //! server is running. Dropping the handle removes the task from the
-//! roster (a stopped task is not listed, as on Domino).
+//! roster (a stopped task is not listed, as on Domino). Periodic tasks
+//! run on [`spawn_periodic`], which does all of that for them.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crate::event::process_nanos;
 
@@ -117,6 +121,76 @@ pub fn tasks() -> Vec<TaskInfo> {
         .collect()
 }
 
+/// Why [`spawn_periodic`] calls its tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake {
+    /// `every` has passed since the previous tick ended: do one cycle.
+    Due,
+    /// [`TaskThread::stop`] (or drop) ended the task: a last chance to
+    /// flush. The thread exits after this call whatever it returns.
+    Stop,
+}
+
+/// Run `tick` on a thread registered as `name`/`kind`, `every` after
+/// the previous tick ended (fixed delay), until it returns
+/// [`ControlFlow::Break`] or the handle is stopped. Stopping wakes the
+/// thread at once for one last tick with [`Wake::Stop`].
+pub fn spawn_periodic<F>(name: &str, kind: &'static str, every: Duration, mut tick: F) -> TaskThread
+where
+    F: FnMut(&TaskHandle, Wake) -> ControlFlow<()> + Send + 'static,
+{
+    let stop = Arc::new((Mutex::new(false), Condvar::new()));
+    let signal = Arc::clone(&stop);
+    let task_name = name.to_string();
+    let join = std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || {
+            let task = register_task(&task_name, kind);
+            let (stopped, wake) = &*signal;
+            loop {
+                let guard = stopped.lock().unwrap_or_else(PoisonError::into_inner);
+                let stop = *wake
+                    .wait_timeout_while(guard, every, |stopped| !*stopped)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+                let why = if stop { Wake::Stop } else { Wake::Due };
+                if tick(&task, why).is_break() || stop {
+                    return;
+                }
+            }
+        })
+        .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+    TaskThread {
+        stop,
+        join: Some(join),
+    }
+}
+
+/// Handle on a [`spawn_periodic`] thread. Stopping or dropping it wakes
+/// the thread at once and joins it.
+pub struct TaskThread {
+    stop: Arc<(Mutex<bool>, Condvar)>,
+    join: Option<JoinHandle<()>>,
+}
+
+impl TaskThread {
+    /// Stop the thread and wait for it to exit.
+    pub fn stop(self) {
+        drop(self);
+    }
+}
+
+impl Drop for TaskThread {
+    fn drop(&mut self) {
+        let (stopped, wake) = &*self.stop;
+        *stopped.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        wake.notify_all();
+        if let Some(join) = self.join.take() {
+            let _ = join.join();
+        }
+    }
+}
+
 /// The `show tasks` console dump.
 pub fn show_tasks() -> String {
     let mut out = String::from("> show tasks\n");
@@ -158,5 +232,64 @@ mod tests {
         assert!(dump.contains("test-task-alpha"));
         drop(h);
         assert!(!tasks().iter().any(|t| t.name == "test-task-alpha"));
+    }
+
+    fn listed(name: &str) -> bool {
+        tasks().iter().any(|t| t.name == name)
+    }
+
+    #[test]
+    fn stop_is_prompt_even_with_a_long_interval() {
+        let wakes = Arc::new(Mutex::new(Vec::new()));
+        let seen = wakes.clone();
+        let t = spawn_periodic(
+            "test-periodic-slow",
+            "Test driver",
+            Duration::from_secs(60),
+            move |_, why| {
+                seen.lock().unwrap().push(why);
+                ControlFlow::Continue(())
+            },
+        );
+        let began = std::time::Instant::now();
+        while !listed("test-periodic-slow") {
+            assert!(
+                began.elapsed() < Duration::from_secs(5),
+                "task never registered"
+            );
+            std::thread::yield_now();
+        }
+        t.stop();
+        assert!(
+            began.elapsed() < Duration::from_secs(1),
+            "stop waited for the interval"
+        );
+        assert_eq!(*wakes.lock().unwrap(), vec![Wake::Stop]);
+        assert!(!listed("test-periodic-slow"));
+    }
+
+    #[test]
+    fn a_tick_returning_break_ends_the_task() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let t = spawn_periodic(
+            "test-periodic-done",
+            "Test driver",
+            Duration::from_millis(1),
+            move |_, _| {
+                let _ = tx.send(show_tasks().contains("test-periodic-done"));
+                ControlFlow::Break(())
+            },
+        );
+        assert!(rx.recv().unwrap(), "task not listed while it runs");
+        let began = std::time::Instant::now();
+        while show_tasks().contains("test-periodic-done") {
+            assert!(
+                began.elapsed() < Duration::from_secs(5),
+                "finished task still listed"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(rx.recv().is_err(), "tick ran again after Break");
+        t.stop();
     }
 }

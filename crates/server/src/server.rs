@@ -16,9 +16,8 @@
 //! 5. render, consulting the command cache for view pages.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::ops::ControlFlow;
 use std::sync::{mpsc, Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use domino_core::{AgentScheduler, AgentTickReport, Database, Note, Session};
@@ -308,64 +307,30 @@ impl DominoServer {
         self.inner.amgr_tick()
     }
 
-    /// Drive [`DominoServer::amgr_tick`] from a background thread every
-    /// `every`. The thread holds only a weak reference: dropping the last
-    /// server clone ends it, as does dropping (or stopping) the handle.
+    /// Drive [`DominoServer::amgr_tick`] from a background thread,
+    /// `every` after the previous pass ended. The thread holds only a
+    /// weak reference: dropping the last server clone ends it, as does
+    /// dropping (or stopping) the handle, which wakes it at once.
     pub fn start_amgr(&self, every: Duration) -> AmgrHandle {
-        let stop = Arc::new(AtomicBool::new(false));
         let weak = Arc::downgrade(&self.inner);
-        let flag = stop.clone();
-        let join = std::thread::Builder::new()
-            .name("http-amgr".into())
-            .spawn(move || {
-                let task = obs::register_task("http-amgr", "Agent manager");
-                while !flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(every);
-                    if flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    match weak.upgrade() {
-                        Some(inner) => {
-                            let _ = inner.amgr_tick();
-                            task.beat();
-                        }
-                        None => break,
-                    }
+        obs::spawn_periodic(
+            "http-amgr",
+            "Agent manager",
+            every,
+            move |task, wake| match (wake, weak.upgrade()) {
+                (obs::Wake::Due, Some(inner)) => {
+                    let _ = inner.amgr_tick();
+                    task.beat();
+                    ControlFlow::Continue(())
                 }
-            })
-            .expect("spawn http-amgr");
-        AmgrHandle {
-            stop,
-            join: Some(join),
-        }
+                _ => ControlFlow::Break(()),
+            },
+        )
     }
 }
 
 /// Handle on the background agent-manager thread; stops it when dropped.
-pub struct AmgrHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl AmgrHandle {
-    /// Stop the amgr thread and wait for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-impl Drop for AmgrHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+pub use obs::TaskThread as AmgrHandle;
 
 impl Inner {
     fn site(&self, name: &str) -> Option<Arc<Site>> {
@@ -914,6 +879,19 @@ mod tests {
         // Quiescent now.
         let again = server.amgr_tick().unwrap();
         assert!(!again.iter().any(|(_, t)| t.fired()));
+    }
+
+    #[test]
+    fn amgr_stop_does_not_wait_out_the_interval() {
+        let (server, _db) = discussion();
+        let amgr = server.start_amgr(Duration::from_secs(60));
+        let began = Instant::now();
+        amgr.stop();
+        assert!(
+            began.elapsed() < Duration::from_secs(1),
+            "amgr stop took {:?}",
+            began.elapsed()
+        );
     }
 
     #[test]

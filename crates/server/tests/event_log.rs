@@ -322,6 +322,25 @@ fn rotation_keeps_the_log_bounded_and_newest() {
 }
 
 #[test]
+fn stopping_the_logger_files_what_is_on_the_bus() {
+    let _bus = exclusive_bus();
+
+    let log = ServerLog::with_config(quiet_logger_config()).unwrap();
+    let handle = log.start(Duration::from_secs(60));
+    obs::emit(obs::Event::new(
+        obs::EventKind::Server,
+        obs::Severity::Info,
+        "Test.FinalDrain",
+    ));
+    // No interval has passed: only the final drain on stop can file it.
+    handle.stop();
+    assert!(
+        doc_with_code(log.database(), "Test.FinalDrain").is_some(),
+        "stop stranded an event on the bus"
+    );
+}
+
+#[test]
 fn background_logger_task_files_events_and_shows_in_roster() {
     let _bus = exclusive_bus();
 

@@ -1,8 +1,9 @@
 //! The network stack end-to-end over real loopback sockets: boot the
 //! HTTP task on an ephemeral TCP port, drive keep-alive requests through
 //! a raw `TcpStream` (watching the command cache answer repeats), pull a
-//! replica through the NRPC stand-in wire protocol, then drain the
-//! listener gracefully with the console verb an admin would use.
+//! replica through the NRPC stand-in wire protocol (and drain its
+//! listener), then drain the HTTP listener gracefully with the console
+//! verb an admin would use.
 //!
 //! Run with: `cargo run --example socket_server`
 
@@ -116,7 +117,7 @@ fn main() -> domino::types::Result<()> {
 
     // --- phase B: replication through the wire protocol ----------------
     println!("\n== phase B: replication over the wire ==");
-    let mut wire = ReplicaListener::bind("127.0.0.1:0").expect("bind replica listener");
+    let wire = ReplicaListener::bind("127.0.0.1:0").expect("bind replica listener");
     let mut transport = SocketTransport::connect(&wire.addr());
     let replica = Arc::new(Database::open_in_memory(
         DbConfig::new("Discussion", ReplicaId(0xD0), ReplicaId(0x50C8)),
@@ -133,7 +134,9 @@ fn main() -> domino::types::Result<()> {
     );
     assert_eq!(pulled, 13, "12 topics + the posted document");
     drop(transport);
-    wire.shutdown();
+    let report = wire.drain(Duration::from_secs(10));
+    println!("replica listener drained: {} remaining", report.remaining);
+    assert_eq!(report.remaining, 0);
 
     // --- phase C: graceful drain from the console ----------------------
     println!("\n== phase C: tell http quit ==");
